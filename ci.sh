@@ -13,6 +13,10 @@ cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace -- -D warnings
 cargo fmt --all --check
 cargo check --benches --offline --locked --workspace
+# The end-to-end benchmark driver is its own package (own workspace and
+# lock file); its tests check metric names against BENCHMARK.json, pass
+# repeatability, seed streams and the exact-sum layer ledger.
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 # Benches run with the package dir as cwd, so hand them an absolute path.
 # One warmup + five timed iterations: enough for a meaningful per-bench
 # *floor* (the statistic the perf gate compares), still cheap.
@@ -55,6 +59,12 @@ tail -n 1 BENCH_history.jsonl | ./target/release/jsonlint --require-key medians
 # profiler does not perturb a single table of the suite.
 DBP_QUICK=1 DBP_JOBS=1 ./target/release/bench_all \
     > target/ci-suite-serial.txt 2> /dev/null
+# Behaviour golden: the serial tables must also match the committed
+# quick-suite stdout byte for byte, so a change that shifts every run the
+# same way cannot pass the self-diffs below. An intentional behaviour
+# change regenerates results/quick_suite.golden.txt (same command) and
+# says why in CHANGES.md.
+diff results/quick_suite.golden.txt target/ci-suite-serial.txt
 DBP_QUICK=1 DBP_JOBS=2 ./target/release/bench_all \
     --json "$(pwd)/SUITE_timing.json" \
     --profile-out "$(pwd)/PROF_suite.json" \

@@ -15,6 +15,7 @@
 //! ```
 
 use dbp_cache::{Hierarchy, HierarchyConfig};
+use dbp_cpu::{Core, CoreConfig, MemIssue, ReplaySource, TraceOp};
 use dbp_dram::{Command, Dram, DramConfig};
 use dbp_memctrl::scheduler::{FrFcfs, Tcm};
 use dbp_memctrl::{CtrlConfig, MemRequest, MemoryController};
@@ -128,6 +129,39 @@ fn bench_trace_generation(r: &mut Runner) {
     });
 }
 
+/// Simulated cycles of the forwarded compute window.
+const FORWARD_CYCLES: u64 = 100_000;
+
+fn bench_core_forward(r: &mut Runner) {
+    // One core in a long compute gap, entered with eight cache-hit loads
+    // still in flight: the window opens head-blocked on their timers,
+    // then streams. This is the window the time-skipping core hands to
+    // `Core::forward` on compute-bound mixes; the cost should track the
+    // window's events, not its length.
+    let hits = (0..8).map(|i| TraceOp { gap: 0, addr: i * 64, is_write: false });
+    let gap = TraceOp { gap: 500_000, addr: 1 << 20, is_write: false };
+    let ops: Vec<TraceOp> = hits.chain([gap]).collect();
+    r.bench_batched(
+        "cpu/forward_compute",
+        FORWARD_CYCLES, // simulated CPU cycles
+        || {
+            let mut core =
+                Core::new(CoreConfig::default(), Box::new(ReplaySource::new(ops.clone())));
+            let mut hit = |_: u64, _: bool, _: u64| MemIssue::Done { latency: 12 };
+            let mut now = 0;
+            while core.compute_horizon() < FORWARD_CYCLES {
+                core.tick(now, &mut hit);
+                now += 1;
+            }
+            (core, now)
+        },
+        |(mut core, now)| {
+            core.forward(now, FORWARD_CYCLES);
+            core
+        },
+    );
+}
+
 fn step_system(prof: Prof) -> System {
     let mut cfg = SimConfig::fast_test();
     cfg.warmup_instructions = 0;
@@ -183,6 +217,7 @@ pub fn register_all(r: &mut Runner) {
     bench_controller_tick(r);
     bench_allocator(r);
     bench_cache(r);
+    bench_core_forward(r);
     bench_trace_generation(r);
     bench_end_to_end(r);
 }
@@ -201,6 +236,7 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate bench names: {names:?}");
+        assert!(names.contains(&"cpu/forward_compute"));
         assert!(names.contains(&"system/step_100k_cycles_4core"));
         assert!(names.contains(&"system/step_100k_cycles_4core_profiled"));
     }

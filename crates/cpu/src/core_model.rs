@@ -242,17 +242,98 @@ impl Core {
         }
     }
 
-    /// Run `ticks` consecutive ordinary ticks starting at cycle `start`,
-    /// none of which may reach a memory dispatch. Callers bound `ticks`
-    /// by [`Core::compute_horizon`]; a tick that would dispatch the
-    /// pending memory op panics, because the caller broke that contract.
+    /// Exactly the effect of `ticks` consecutive ordinary ticks starting
+    /// at cycle `start`, none of which may reach a memory dispatch.
+    /// Callers bound `ticks` by [`Core::compute_horizon`]; a tick that
+    /// would dispatch the pending memory op panics, because the caller
+    /// broke that contract.
+    ///
+    /// With no memory dispatch and no completion arriving, a tick's
+    /// effect stays constant between events (a timer sweep, retirement
+    /// reaching the first outstanding load, the window filling), so runs
+    /// of identical ticks are applied in O(1) and only the transition
+    /// ticks between them execute as ordinary [`Core::tick`]s:
+    ///
+    /// - streaming: retire and dispatch `c` each, occupancy unchanged,
+    ///   where `c = width` (occupancy ≥ width) or `c = rob < width`
+    ///   (window full after every tick's dispatch);
+    /// - head-blocked with room: dispatch `width`, retire stalls;
+    /// - head-blocked, window full: retire stalls, dispatch stalls.
     pub fn forward(&mut self, start: u64, ticks: u64) {
         let mut nomem = |_: u64, _: bool, _: u64| -> MemIssue {
             unreachable!("forward() tick reached a memory dispatch")
         };
-        for j in 0..ticks {
-            self.tick(start + j, &mut nomem);
+        let width = u64::from(self.cfg.width);
+        let end = start + ticks;
+        let mut now = start;
+        while now < end {
+            let run = match self.pending {
+                Some(p) if self.next_timer > now => {
+                    // Ticks that provably stop short of the memory op; a
+                    // caller overrunning its horizon falls through to
+                    // ordinary ticks, which panic where stepping would.
+                    let limit =
+                        (end.min(self.next_timer) - now).min((p.seq - self.dispatched) / width);
+                    self.compute_run(limit)
+                }
+                // A timer sweep (or a trace fetch) is due: a transition.
+                _ => 0,
+            };
+            if run == 0 {
+                self.tick(now, &mut nomem);
+                now += 1;
+            } else {
+                self.stats.cycles += run;
+                now += run;
+            }
         }
+        self.stats.retired = self.retired;
+    }
+
+    /// Apply up to `limit` identical memory-free ticks in closed form and
+    /// return how many were applied; zero means the next tick is a
+    /// transition (its effect differs from the one after it) and must
+    /// run as an ordinary tick. The caller guarantees no timer fires and
+    /// no dispatch reaches the pending memory op within `limit` ticks,
+    /// and charges `stats.cycles`.
+    fn compute_run(&mut self, limit: u64) -> u64 {
+        let (rob, width) = (self.cfg.rob, u64::from(self.cfg.width));
+        let occ = self.dispatched - self.retired;
+        // Retirement stops at the first outstanding load; the done loads
+        // before it retire like compute instructions.
+        let barrier =
+            self.inflight.iter().find(|l| !l.done).map_or(u64::MAX, |l| l.seq - self.retired);
+        if barrier == 0 {
+            // Head-of-window load outstanding: every tick stalls retire.
+            let room = rob - occ;
+            let run = if room == 0 {
+                self.stats.window_full_cycles += limit;
+                limit
+            } else {
+                let run = limit.min(room / width);
+                self.dispatched += run * width;
+                run
+            };
+            self.stats.retire_stall_cycles += run;
+            return run;
+        }
+        // Streaming: retire `c`, then dispatch `c` into the freed room.
+        let (c, full) = if occ >= width {
+            (width, 0)
+        } else if occ == rob {
+            (rob, 1) // rob < width: the window refills every tick
+        } else {
+            return 0; // occupancy still ramping up
+        };
+        let run = limit.min(barrier / c);
+        self.retired += run * c;
+        self.dispatched += run * c;
+        self.stats.window_full_cycles += run * full;
+        while self.inflight.front().is_some_and(|l| l.seq < self.retired) {
+            debug_assert!(self.inflight[0].done);
+            self.inflight.pop_front();
+        }
+        run
     }
 
     /// Advance one CPU cycle. `mem` is called for each dispatched memory
@@ -586,6 +667,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "reached a memory dispatch")]
+    fn forward_past_the_horizon_panics() {
+        let src = ReplaySource::new(vec![TraceOp { gap: 10, addr: 64, is_write: false }]);
+        let mut c = Core::new(CoreConfig { rob: 32, width: 4 }, Box::new(src));
+        assert_eq!(c.compute_horizon(), 2);
+        c.forward(0, 4);
+    }
+
+    #[test]
     fn ipc_degrades_with_memory_latency() {
         // Same trace, two latencies: higher latency must not raise IPC.
         let run = |lat: u32| {
@@ -606,7 +696,7 @@ mod prop_tests {
     use super::*;
     use crate::trace::ReplaySource;
     use dbp_util::prop::{any_bool, check, range, vec_of, CaseResult, Config, Gen};
-    use dbp_util::prop_assert;
+    use dbp_util::{prop_assert, prop_assert_eq};
 
     fn arb_trace() -> impl Gen<Value = Vec<TraceOp>> {
         vec_of(
@@ -676,6 +766,115 @@ mod prop_tests {
     fn regression_single_store_minimal_window() {
         window_invariants(vec![TraceOp { gap: 0, addr: 0, is_write: true }], 1, 1, &[0; 8])
             .unwrap();
+    }
+
+    /// A scripted memory system: answers cycle through `answers`; loads
+    /// answered `Pending` queue up and complete oldest-first when asked.
+    struct ScriptedMem<'a> {
+        answers: &'a [MemIssue],
+        calls: usize,
+        outstanding: VecDeque<u64>,
+    }
+
+    impl ScriptedMem<'_> {
+        fn tick(&mut self, core: &mut Core, now: u64) {
+            let mut mem = |_a: u64, is_write: bool, id: u64| {
+                let a = self.answers[self.calls % self.answers.len()];
+                self.calls += 1;
+                if a == MemIssue::Pending && !is_write {
+                    self.outstanding.push_back(id);
+                }
+                a
+            };
+            core.tick(now, &mut mem);
+            if now % 5 == 0 {
+                if let Some(id) = self.outstanding.pop_front() {
+                    core.complete(id);
+                }
+            }
+        }
+    }
+
+    fn same_state(fast: &Core, stepped: &Core, at: &str) -> CaseResult {
+        prop_assert_eq!(fast.stats(), stepped.stats(), "stats {at}");
+        prop_assert_eq!(fast.retired(), stepped.retired(), "retired {at}");
+        prop_assert_eq!(fast.idle_state(), stepped.idle_state(), "idle_state {at}");
+        prop_assert_eq!(fast.outstanding_loads(), stepped.outstanding_loads(), "loads {at}");
+        Ok(())
+    }
+
+    /// `forward(start, k)` is exactly `k` memory-free ticks: after random
+    /// pre-window traffic (hit timers and DRAM-outstanding loads live),
+    /// windows split at random inside each `compute_horizon` leave both
+    /// cores identical — and identical for 200 further memory ticks, so
+    /// any drift in `inflight` or `next_timer` would surface.
+    fn forward_equals_ticks(
+        trace: Vec<TraceOp>,
+        (rob, width): (u64, u32),
+        answers: &[MemIssue],
+        pre: u64,
+        splits: &[u64],
+    ) -> CaseResult {
+        let mk =
+            || Core::new(CoreConfig { rob, width }, Box::new(ReplaySource::new(trace.clone())));
+        let (mut fast, mut stepped) = (mk(), mk());
+        let mem = || ScriptedMem { answers, calls: 0, outstanding: VecDeque::new() };
+        let (mut fast_mem, mut stepped_mem) = (mem(), mem());
+        let mut nomem = |_: u64, _: bool, _: u64| -> MemIssue { unreachable!() };
+        let mut now = 0;
+        while now < pre {
+            fast_mem.tick(&mut fast, now);
+            stepped_mem.tick(&mut stepped, now);
+            now += 1;
+        }
+        for &s in splits {
+            let h = fast.compute_horizon();
+            prop_assert_eq!(h, stepped.compute_horizon());
+            if h == 0 {
+                fast_mem.tick(&mut fast, now);
+                stepped_mem.tick(&mut stepped, now);
+                now += 1;
+            } else {
+                let k = 1 + s % h;
+                fast.forward(now, k);
+                for t in now..now + k {
+                    stepped.tick(t, &mut nomem);
+                }
+                now += k;
+            }
+            same_state(&fast, &stepped, &format!("after window ending at {now}"))?;
+        }
+        for _ in 0..200 {
+            fast_mem.tick(&mut fast, now);
+            stepped_mem.tick(&mut stepped, now);
+            now += 1;
+        }
+        same_state(&fast, &stepped, "200 ticks after the windows")
+    }
+
+    #[test]
+    fn forward_equals_stepped_ticks() {
+        let answer = (any_bool(), range(0u32..200)).map(|(dram, latency)| {
+            if dram {
+                MemIssue::Pending
+            } else {
+                MemIssue::Done { latency }
+            }
+        });
+        let trace = vec_of(
+            (range(0u32..301), range(0u64..1_000_000), any_bool())
+                .map(|(gap, page, is_write)| TraceOp { gap, addr: page << 6, is_write }),
+            1..40,
+        );
+        let g = (
+            (trace, range(1u64..257), range(1u32..9)),
+            vec_of(answer, 1..16),
+            range(0u64..300),
+            vec_of(range(0u64..1000), 1..60),
+        );
+        check(Config::cases(256), &g, |((trace, rob, width), answers, pre, splits)| {
+            forward_equals_ticks(trace, (rob, width), &answers, pre, &splits)
+        });
     }
 
     /// With every access hitting instantly, IPC approaches the width.

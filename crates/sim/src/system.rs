@@ -52,6 +52,10 @@ pub struct System {
     /// is on: the stepped reference path stays a plain interpreter so
     /// the CI cross-check would expose a stale-verdict bug here.
     poll_stuck: Vec<bool>,
+    /// Per core, scratch for [`System::maybe_skip`]'s forward plan: the
+    /// core is in a compute phase and is forwarded through a jumped
+    /// window (`true`) rather than bulk-stalled (`false`).
+    forward_plan: Vec<bool>,
     last_fed_instr: Vec<u64>,
     cycle: u64,
     finish_cycle: Vec<Option<u64>>,
@@ -174,6 +178,7 @@ impl System {
             next_req_id: 0,
             migration_backlog: VecDeque::new(),
             poll_stuck: vec![false; n],
+            forward_plan: vec![false; n],
             last_fed_instr: vec![0; n],
             cycle: 0,
             finish_cycle: vec![None; n],
@@ -364,9 +369,6 @@ impl System {
             return;
         }
         let n = self.cores.len();
-        if n > 64 {
-            return; // forward-plan bitmask: far above any simulated CMP
-        }
         // Gate 1: every core must be either blocked — with any memory
         // poll provably stuck at `Retry` for the whole window — or in a
         // compute phase with a provable memory-free horizon. The blocked
@@ -378,10 +380,10 @@ impl System {
         let write_cap = self.cfg.ctrl.write_q_cap;
         let warm = self.cfg.warmup_instructions;
         let mut target = bound;
-        let mut fwd: u64 = 0;
         for i in 0..n {
             match self.cores[i].idle_state() {
                 dbp_cpu::IdleState::Blocked { timer, mem_poll } => {
+                    self.forward_plan[i] = false;
                     if let Some(t) = timer {
                         target = target.min(t);
                     }
@@ -404,15 +406,16 @@ impl System {
                     }
                 }
                 dbp_cpu::IdleState::Active => {
-                    // Compute phase: the window is replayed with ordinary
-                    // ticks (`Core::forward`), so the core's own timers
-                    // fire internally and need no calendar entry — only
-                    // its next possible memory dispatch bounds the jump.
+                    // Compute phase: `Core::forward` advances the window
+                    // exactly as ordinary ticks would, so the core's own
+                    // timers fire internally and need no calendar entry —
+                    // only its next possible memory dispatch bounds the
+                    // jump.
                     let h = self.cores[i].compute_horizon();
                     if h == 0 {
                         return;
                     }
-                    fwd |= 1 << i;
+                    self.forward_plan[i] = true;
                     target = target.min(cur + h);
                     // Forwarded ticks retire instructions, but the warmup
                     // exit (`run`) and the finish check (`step`) observe
@@ -465,8 +468,8 @@ impl System {
         // Perform the jump: cycles [cur, target) are skipped, `target`
         // itself executes as a normal step.
         let k = target - cur;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if fwd & (1 << i) != 0 {
+        for (core, &fwd) in self.cores.iter_mut().zip(&self.forward_plan) {
+            if fwd {
                 core.forward(cur, k);
             } else {
                 core.skip_cycles(k);
@@ -971,6 +974,36 @@ mod tests {
         let (stepped_run, stepped_skipped, stepped_end) = arm(false);
         assert_eq!(stepped_skipped, 0, "DBP_NO_SKIP semantics: no jumps");
         assert!(skipped_cycles > 0, "memory-bound mix must expose idle windows");
+        assert_eq!(skipped_run, stepped_run);
+        assert_eq!(skipped_end, stepped_end);
+    }
+
+    #[test]
+    fn time_skipping_engages_above_64_cores() {
+        let mut cfg = small_cfg();
+        cfg.target_instructions = 2_000;
+        cfg.warmup_instructions = 1_000;
+        let arm = |skip: bool| {
+            let names = ["povray", "namd", "mcf", "gobmk", "hmmer"];
+            let traces: Vec<Box<dyn TraceSource>> = (0..65)
+                .map(|i| {
+                    let t =
+                        SyntheticTrace::new(profiles::by_name(names[i % names.len()]), i as u64);
+                    Box::new(t) as Box<dyn TraceSource>
+                })
+                .collect();
+            let prof = dbp_obs::Prof::enabled();
+            let mut sys =
+                System::with_instrumentation(cfg.clone(), traces, Recorder::disabled(), prof);
+            sys.set_time_skip(skip);
+            let r = sys.run();
+            let skipped = sys.profiler().counter("sim/cycles_skipped").get();
+            (format!("{r:?}"), skipped, sys.cycle())
+        };
+        let (skipped_run, skipped_cycles, skipped_end) = arm(true);
+        let (stepped_run, stepped_skipped, stepped_end) = arm(false);
+        assert_eq!(stepped_skipped, 0);
+        assert!(skipped_cycles > 0, "65 cores must still skip");
         assert_eq!(skipped_run, stepped_run);
         assert_eq!(skipped_end, stepped_end);
     }
